@@ -56,6 +56,8 @@ ALLOWLIST = [
     ("src/coll/runtime.hpp", "unordered-include", "<unordered_map>"),
     ("src/coll/runtime.hpp", "unordered-decl", "call_seq_"),
     ("src/coll/runtime.hpp", "unordered-decl", "level_of_"),
+    # Plan cache: find/try_emplace/erase by key only, never iterated.
+    ("src/coll/runtime.hpp", "unordered-decl", "plans_"),
 ]
 
 

@@ -91,6 +91,15 @@ MachineSignature signature_of(const machine::MachineProfile& profile) {
   sig.topo = profile.name + "." + std::to_string(profile.nodes) + "x" +
              std::to_string(profile.procs_per_node) + ".numa" +
              std::to_string(profile.numa_per_node);
+  // Multi-rail machines key their rail count and policy too; single-rail
+  // keys keep the plain form (one NIC leaves the policy nothing to pick),
+  // so DB files written before rails were keyed still match.
+  if (profile.nics_per_node > 1) {
+    sig.topo += ".rail" + std::to_string(profile.nics_per_node);
+    if (profile.rail_policy == machine::RailPolicy::RoundRobin) {
+      sig.topo += ".rr";
+    }
+  }
 
   std::uint64_t h = fnv1a(kFnvOffset, sig.topo.data(), sig.topo.size());
   h = mix_double(h, profile.net_latency);

@@ -37,6 +37,8 @@ struct MachineSignature {
   static constexpr int kBands = 31;
 
   /// Topology descriptor, e.g. "aries.8x4.numa1" — the DB record key.
+  /// Multi-rail machines append the rail count and a non-default policy
+  /// ("aries.2x8.numa1.rail4", "...rail4.rr").
   std::string topo;
   /// Hash of every timing-relevant profile scalar (latencies, bandwidths,
   /// protocol overheads). Any change invalidates all bands; the efficiency

@@ -1,6 +1,8 @@
 #include "coll/builders.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 
 #include "coll/topology.hpp"
 #include "simbase/assert.hpp"
@@ -29,7 +31,38 @@ void apply_action_delay(Plan& plan, sim::Time delay) {
   }
 }
 
+/// Boost-style hash combine.
+void mix(std::size_t& h, std::size_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+}
+
 }  // namespace
+
+std::size_t hash_value(const BuildSpec& spec) {
+  std::size_t h = 0;
+  mix(h, static_cast<std::size_t>(spec.alg));
+  mix(h, std::hash<int>{}(spec.root));
+  mix(h, spec.bytes);
+  mix(h, spec.segment);
+  mix(h, static_cast<std::size_t>(spec.dtype));
+  mix(h, static_cast<std::size_t>(spec.op));
+  mix(h, static_cast<std::size_t>(spec.avx));
+  mix(h, std::hash<double>{}(spec.action_pre_delay));
+  mix(h, std::hash<double>{}(spec.op_setup));
+  mix(h, std::hash<int>{}(spec.rail));
+  return h;
+}
+
+std::size_t PlanKeyHash::operator()(const PlanKey& key) const {
+  std::size_t h = hash_value(key.spec);
+  mix(h, reinterpret_cast<std::uintptr_t>(key.build));
+  mix(h, std::hash<int>{}(key.comm_size));
+  mix(h, key.stride);
+  mix(h, key.block);
+  mix(h, std::hash<double>{}(key.copy_bandwidth));
+  mix(h, std::hash<double>{}(key.flag_latency));
+  return h;
+}
 
 namespace detail {
 

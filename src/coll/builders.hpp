@@ -7,6 +7,8 @@
 // Builders are pure: Plan in, Plan out, no simulator state.
 #pragma once
 
+#include <cstddef>
+
 #include "coll/plan.hpp"
 #include "coll/types.hpp"
 
@@ -24,7 +26,54 @@ struct BuildSpec {
   sim::Time action_pre_delay = 0.0;  // per-action progression cost (Libnbc)
   sim::Time op_setup = 0.0;    // one-time per-rank setup (ADAPT machinery)
   int rail = -1;  // fabric rail for the plan's sends; -1 = machine policy
+
+  bool operator==(const BuildSpec&) const = default;
 };
+
+/// Hash over every BuildSpec field; equal specs hash equal.
+std::size_t hash_value(const BuildSpec& spec);
+
+/// Everything one plan build reads: the builder itself (its identity), the
+/// communicator size, the shared BuildSpec and the few inputs some
+/// builders take beyond it. CollRuntime compiles a plan once per distinct
+/// key and shares it among every live instance with an equal key, so a
+/// builder must read nothing but its key.
+struct PlanKey {
+  using Builder = Plan (*)(const PlanKey&);
+
+  Builder build = nullptr;
+  int comm_size = 0;  // filled in by CollRuntime::start()
+  BuildSpec spec;
+  std::size_t stride = 0;        // strided ring: send-buffer block stride
+  std::size_t block = 0;         // strided ring: bytes per block
+  double copy_bandwidth = 0.0;   // SM/SOLO: single-core copy rate
+  sim::Time flag_latency = 0.0;  // SM/SOLO: shared-memory flag latency
+
+  bool operator==(const PlanKey&) const = default;
+};
+
+/// Hash over every PlanKey field (the builder by its address); equal keys
+/// hash equal.
+struct PlanKeyHash {
+  std::size_t operator()(const PlanKey& key) const;
+};
+
+namespace detail {
+template <Plan (*Build)(int, const BuildSpec&)>
+Plan build_from_spec(const PlanKey& key) {
+  return Build(key.comm_size, key.spec);
+}
+}  // namespace detail
+
+/// Key for a builder of the common `Plan(int comm_size, const BuildSpec&)`
+/// shape: `rt.start(comm, me, spec_key<build_tree_bcast>(spec), bufs)`.
+template <Plan (*Build)(int, const BuildSpec&)>
+PlanKey spec_key(const BuildSpec& spec) {
+  PlanKey key;
+  key.build = &detail::build_from_spec<Build>;
+  key.spec = spec;
+  return key;
+}
 
 /// Message segmentation helper. Segment byte counts are aligned to the
 /// datatype size; the segment count is capped (kMaxInternalSegments) so

@@ -7,8 +7,9 @@
 // paying full P2P protocol costs, which is how the SM and SOLO intra-node
 // modules are expressed.
 //
-// Plans are pure data: they are built once per collective instance by a
-// module's builder function and executed by CollRuntime.
+// Plans are pure data: a module's builder function makes one from a
+// PlanKey (coll/builders.hpp), and CollRuntime shares it among every live
+// collective instance with an equal key.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +27,8 @@ namespace han::coll {
 struct SlotRef {
   int slot = 0;
   std::size_t offset = 0;
+
+  bool operator==(const SlotRef&) const = default;
 };
 
 /// Dependency edge. `rank == kSameRank` refers to the executing rank.
@@ -36,6 +39,8 @@ struct DepRef {
   int rank = kSameRank;  // comm rank owning the dependency
   int action = 0;        // index into that rank's action list
   sim::Time latency = 0.0;
+
+  bool operator==(const DepRef&) const = default;
 };
 
 struct Action {
@@ -70,6 +75,8 @@ struct Action {
   sim::Time seconds = 0.0;  // Compute duration
   sim::Time pre_delay = 0.0;  // fixed latency before execution starts
   std::vector<DepRef> deps;
+
+  bool operator==(const Action&) const = default;
 };
 
 struct RankPlan {
@@ -82,6 +89,8 @@ struct RankPlan {
     actions.push_back(std::move(a));
     return static_cast<int>(actions.size()) - 1;
   }
+
+  bool operator==(const RankPlan&) const = default;
 };
 
 struct Plan {
@@ -94,6 +103,8 @@ struct Plan {
 
   explicit Plan(int comm_size = 0, int user_slots = 1)
       : num_user_slots(user_slots), ranks(comm_size) {}
+
+  bool operator==(const Plan&) const = default;
 };
 
 // ---- small builder helpers -------------------------------------------

@@ -32,6 +32,11 @@ BuildSpec ring_spec(std::size_t bytes, mpi::Datatype dtype, mpi::ReduceOp op) {
   return spec;
 }
 
+Plan build_strided(const PlanKey& key) {
+  return build_ring_reduce_scatter_strided(key.comm_size, key.spec,
+                                           key.stride, key.block);
+}
+
 }  // namespace
 
 RingModule::RingModule(mpi::SimWorld& world, CollRuntime& rt)
@@ -46,10 +51,8 @@ mpi::Request RingModule::ireduce_scatter(const mpi::Comm& comm, int me,
   BuildSpec spec = ring_spec(send.bytes, dtype, op);
   spec.segment = cfg.segment != 0 ? cfg.segment : kRingDefaultSegment;
   spec.rail = cfg.rail;
-  const int n = comm.size();
-  return rt().start(
-      comm, me, [n, spec] { return build_ring_reduce_scatter(n, spec); },
-      {send, recv});
+  return rt().start(comm, me, spec_key<build_ring_reduce_scatter>(spec),
+                    {send, recv});
 }
 
 mpi::Request RingModule::ireduce_scatter_strided(
@@ -62,13 +65,12 @@ mpi::Request RingModule::ireduce_scatter_strided(
   BuildSpec spec = ring_spec(send.bytes, dtype, op);
   spec.segment = cfg.segment != 0 ? cfg.segment : kRingDefaultSegment;
   spec.rail = cfg.rail;
-  const std::size_t len = recv.bytes;
-  return rt().start(
-      comm, me,
-      [n, spec, stride, len] {
-        return build_ring_reduce_scatter_strided(n, spec, stride, len);
-      },
-      {send, recv});
+  PlanKey key;
+  key.build = &build_strided;
+  key.spec = spec;
+  key.stride = stride;
+  key.block = recv.bytes;
+  return rt().start(comm, me, key, {send, recv});
 }
 
 mpi::Request RingModule::iallgather(const mpi::Comm& comm, int me,
@@ -78,10 +80,8 @@ mpi::Request RingModule::iallgather(const mpi::Comm& comm, int me,
   count_op(world(), "allgather", send.bytes);
   const BuildSpec spec =
       ring_spec(send.bytes, mpi::Datatype::Byte, mpi::ReduceOp::Sum);
-  const int n = comm.size();
-  return rt().start(
-      comm, me, [n, spec] { return build_ring_allgather(n, spec); },
-      {send, recv});
+  return rt().start(comm, me, spec_key<build_ring_allgather>(spec),
+                    {send, recv});
 }
 
 mpi::Request RingModule::iallreduce(const mpi::Comm& comm, int me,
@@ -91,10 +91,8 @@ mpi::Request RingModule::iallreduce(const mpi::Comm& comm, int me,
   (void)cfg;
   count_op(world(), "allreduce", send.bytes);
   const BuildSpec spec = ring_spec(send.bytes, dtype, op);
-  const int n = comm.size();
-  return rt().start(
-      comm, me, [n, spec] { return build_ring_allreduce(n, spec); },
-      {send, recv});
+  return rt().start(comm, me, spec_key<build_ring_allreduce>(spec),
+                    {send, recv});
 }
 
 }  // namespace han::coll

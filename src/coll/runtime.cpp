@@ -77,83 +77,82 @@ void CollRuntime::set_level_label(int context, const std::string& label) {
 }
 
 mpi::Request CollRuntime::start(const mpi::Comm& comm, int comm_rank,
-                                const std::function<Plan()>& build,
+                                PlanKey key,
                                 std::vector<mpi::BufView> user_bufs) {
   auto& seqs = call_seq_[comm.context()];
   if (seqs.empty()) seqs.resize(comm.size(), 0);
   const std::uint64_t seq = seqs.at(comm_rank)++;
 
-  InstancePtr inst = get_or_create(comm, seq, build);
+  key.comm_size = comm.size();
+  Instance& inst = get_or_create(comm, seq, key);
   mpi::Request req = mpi::make_request(world_->engine());
-  arrive(inst, comm_rank, std::move(user_bufs), req);
+  arrive(&inst, comm_rank, std::move(user_bufs), req);
   return req;
 }
 
-CollRuntime::InstancePtr CollRuntime::get_or_create(
-    const mpi::Comm& comm, std::uint64_t seq,
-    const std::function<Plan()>& build) {
-  const auto key = std::make_pair(comm.context(), seq);
-  auto it = instances_.find(key);
-  if (it != instances_.end()) return it->second;
+CollRuntime::PlanEntry& CollRuntime::acquire_plan(const PlanKey& key) {
+  auto [it, fresh] = plans_.try_emplace(key);
+  CompiledPlan& cp = it->second;
+  if (fresh) {
+    ++plans_compiled_;
+    HAN_ASSERT_MSG(key.build != nullptr, "plan key without a builder");
+    cp.plan = key.build(key);
+    const std::string defect =
+        validate_plan(cp.plan, key.comm_size, &cp.graph);
+    HAN_ASSERT_MSG(defect.empty(), defect.c_str());
+  }
+  ++cp.users;
+  return *it;
+}
 
-  auto inst = std::make_shared<Instance>();
-  inst->comm = &comm;
-  inst->seq = seq;
-  inst->plan = build();
-  const std::string defect = validate_plan(inst->plan, comm.size());
-  HAN_ASSERT_MSG(defect.empty(), defect.c_str());
+CollRuntime::Instance& CollRuntime::get_or_create(const mpi::Comm& comm,
+                                                  std::uint64_t seq,
+                                                  const PlanKey& key) {
+  auto [it, fresh] =
+      instances_.try_emplace(std::make_pair(comm.context(), seq));
+  Instance& inst = it->second;
+  if (!fresh) return inst;
+
+  ++instances_created_;
+  inst.comm = &comm;
+  inst.seq = seq;
+  PlanEntry& entry = acquire_plan(key);
+  inst.key = &entry.first;
+  inst.compiled = &entry.second;
+  const Plan& plan = inst.compiled->plan;
   if (plan_checker_) {
-    const std::string verdict = plan_checker_(inst->plan, comm.size());
+    const std::string verdict = plan_checker_(plan, comm.size());
     HAN_ASSERT_MSG(verdict.empty(), verdict.c_str());
   }
 
   const int n = comm.size();
-  inst->ranks.resize(n);
-  inst->dependents.resize(n);
-  inst->ranks_not_arrived = n;
+  const PlanGraph& g = inst.compiled->graph;
+  inst.deps_left = g.indegree;
+  inst.launched.assign(g.indegree.size(), 0);
+  inst.ranks.resize(n);
   for (int r = 0; r < n; ++r) {
-    const auto& actions = inst->plan.ranks[r].actions;
-    inst->ranks[r].deps_left.assign(actions.size(), 0);
-    inst->ranks[r].launched.assign(actions.size(), 0);
-    inst->ranks[r].actions_left = static_cast<int>(actions.size());
-    inst->dependents[r].resize(actions.size());
-    inst->total_actions_left += static_cast<long>(actions.size());
+    inst.ranks[r].actions_left = g.base[r + 1] - g.base[r];
   }
-  // Wire reverse edges and dependency counters.
-  for (int r = 0; r < n; ++r) {
-    const auto& actions = inst->plan.ranks[r].actions;
-    for (int a = 0; a < static_cast<int>(actions.size()); ++a) {
-      for (const DepRef& d : actions[a].deps) {
-        const int dr = d.rank == DepRef::kSameRank ? r : d.rank;
-        HAN_ASSERT(dr >= 0 && dr < n);
-        HAN_ASSERT(d.action >= 0 &&
-                   d.action <
-                       static_cast<int>(inst->plan.ranks[dr].actions.size()));
-        inst->dependents[dr][d.action].push_back(
-            DepRef{r, a, d.latency});
-        ++inst->ranks[r].deps_left[a];
-      }
-    }
-  }
-  instances_.emplace(key, inst);
+  inst.total_actions_left = g.base[n];
+  inst.ranks_not_arrived = n;
   return inst;
 }
 
-void CollRuntime::arrive(const InstancePtr& inst, int rank,
+void CollRuntime::arrive(Instance* inst, int rank,
                          std::vector<mpi::BufView> user_bufs,
                          mpi::Request req) {
   RankState& rs = inst->ranks.at(rank);
   HAN_ASSERT_MSG(!rs.arrived, "rank started the same collective twice");
   rs.arrived = true;
   --inst->ranks_not_arrived;
-  HAN_ASSERT_MSG(static_cast<int>(user_bufs.size()) >=
-                     inst->plan.num_user_slots,
+  const Plan& plan = inst->compiled->plan;
+  HAN_ASSERT_MSG(static_cast<int>(user_bufs.size()) >= plan.num_user_slots,
                  "missing user buffers for plan slots");
   rs.user_bufs = std::move(user_bufs);
   rs.req = std::move(req);
 
   // Allocate temp slot storage in data mode.
-  const auto& temp_sizes = inst->plan.ranks[rank].temp_slots;
+  const auto& temp_sizes = plan.ranks[rank].temp_slots;
   if (world_->data_mode()) {
     rs.temps.resize(temp_sizes.size());
     for (std::size_t i = 0; i < temp_sizes.size(); ++i) {
@@ -166,19 +165,18 @@ void CollRuntime::arrive(const InstancePtr& inst, int rank,
     maybe_retire(inst);
     return;
   }
-  for (int a = 0; a < static_cast<int>(rs.deps_left.size()); ++a) {
-    try_launch(inst, rank, a);
-  }
+  const int count = rs.actions_left;
+  for (int a = 0; a < count; ++a) try_launch(inst, rank, a);
 }
 
-void CollRuntime::try_launch(const InstancePtr& inst, int rank, int action) {
-  RankState& rs = inst->ranks[rank];
-  if (!rs.arrived || rs.launched[action] != 0 ||
-      rs.deps_left[action] != 0) {
+void CollRuntime::try_launch(Instance* inst, int rank, int action) {
+  const int f = inst->flat(rank, action);
+  if (!inst->ranks[rank].arrived || inst->launched[f] != 0 ||
+      inst->deps_left[f] != 0) {
     return;
   }
-  rs.launched[action] = 1;
-  const Action& a = inst->plan.ranks[rank].actions[action];
+  inst->launched[f] = 1;
+  const Action& a = inst->action(rank, action);
   if (a.pre_delay > 0.0) {
     world_->engine().schedule_after(
         a.pre_delay, [this, inst, rank, action] { execute(inst, rank, action); });
@@ -192,7 +190,8 @@ mpi::BufView CollRuntime::slot_view(Instance& inst, int rank, SlotRef ref,
   RankState& rs = inst.ranks[rank];
   HAN_ASSERT_MSG(rs.arrived,
                  "slot access before rank arrival (missing cross-rank dep?)");
-  if (ref.slot < inst.plan.num_user_slots) {
+  const Plan& plan = inst.compiled->plan;
+  if (ref.slot < plan.num_user_slots) {
     const mpi::BufView& user = rs.user_bufs[ref.slot];
     if (user.has_data()) {
       HAN_ASSERT_MSG(ref.offset + bytes <= user.bytes,
@@ -201,8 +200,8 @@ mpi::BufView CollRuntime::slot_view(Instance& inst, int rank, SlotRef ref,
     return user.slice(ref.offset, bytes);
   }
   const std::size_t t = static_cast<std::size_t>(ref.slot) -
-                        static_cast<std::size_t>(inst.plan.num_user_slots);
-  HAN_ASSERT(t < inst.plan.ranks[rank].temp_slots.size());
+                        static_cast<std::size_t>(plan.num_user_slots);
+  HAN_ASSERT(t < plan.ranks[rank].temp_slots.size());
   if (!world_->data_mode()) {
     mpi::BufView v = mpi::BufView::timing_only(bytes);
     return v;
@@ -212,8 +211,8 @@ mpi::BufView CollRuntime::slot_view(Instance& inst, int rank, SlotRef ref,
   return mpi::BufView{storage.data() + ref.offset, bytes, mpi::Datatype::Byte};
 }
 
-void CollRuntime::execute(const InstancePtr& inst, int rank, int action) {
-  const Action& a = inst->plan.ranks[rank].actions[action];
+void CollRuntime::execute(Instance* inst, int rank, int action) {
+  const Action& a = inst->action(rank, action);
   const mpi::Comm& comm = *inst->comm;
   const mpi::Tag tag =
       static_cast<mpi::Tag>((inst->seq << kTagBits) |
@@ -230,39 +229,22 @@ void CollRuntime::execute(const InstancePtr& inst, int rank, int action) {
   level->bytes->add(abytes);
   inflight_->add(t0, 1.0);
   level->inflight->add(t0, 1.0);
-  std::function<void()> done = [this, inst, rank, action, kind, t0,
-                                level] {
-    const sim::Time now = world_->now();
-    const sim::Time dt = now - t0;
-    kinds_[kind].busy->add(dt);
-    level->busy->add(dt);
-    inflight_->add(now, -1.0);
-    level->inflight->add(now, -1.0);
-    action_seconds_->observe(dt);
-    if (tracer_ != nullptr) {
-      const int wr = inst->comm->world_rank(rank);
-      const std::string name =
-          std::string(kKindNames[kind]) + " " +
-          sim::format_bytes(
-              inst->plan.ranks[rank].actions[action].bytes);
-      tracer_->span(wr, "coll", name, t0, now, world_->rank(wr).node);
-    }
-    complete_action(inst, rank, action);
+  // Small trivially-copyable capture: stored inline by Engine::Callback.
+  auto done = [this, inst, rank, action, t0, level] {
+    finish_action(inst, rank, action, t0, level);
   };
 
+  mpi::Request r;
   switch (a.kind) {
     case Action::Kind::Send: {
       mpi::BufView src = slot_view(*inst, rank, a.src, a.bytes);
-      mpi::Request r = world_->isend_ctx(comm, comm.context(), rank, a.peer,
-                                         tag, src, inst->plan.rail);
-      r->on_complete(done);
+      r = world_->isend_ctx(comm, comm.context(), rank, a.peer, tag, src,
+                            inst->compiled->plan.rail);
       break;
     }
     case Action::Kind::Recv: {
       mpi::BufView dst = slot_view(*inst, rank, a.dst, a.bytes);
-      mpi::Request r = world_->irecv_ctx(comm, comm.context(), rank, a.peer,
-                                         tag, dst);
-      r->on_complete(done);
+      r = world_->irecv_ctx(comm, comm.context(), rank, a.peer, tag, dst);
       break;
     }
     case Action::Kind::Copy: {
@@ -274,48 +256,18 @@ void CollRuntime::execute(const InstancePtr& inst, int rank, int action) {
                               ? a.copy_cap
                               : world_->profile().core_copy_bandwidth) *
                          a.bus_factor;
-      mpi::Request r = world_->copy_flow(
+      r = world_->copy_flow(
           wr, static_cast<std::size_t>(
                   static_cast<double>(a.bytes) * a.bus_factor),
           cap);
-      r->on_complete([this, inst, rank, action, done] {
-        const Action& act = inst->plan.ranks[rank].actions[action];
-        if (world_->data_mode()) {
-          mpi::BufView src = slot_view(*inst, rank, act.src, act.bytes);
-          mpi::BufView dst = slot_view(*inst, rank, act.dst, act.bytes);
-          if (src.has_data() && dst.has_data() &&
-              dst.data != src.data) {  // in-place copies are no-ops
-            std::memcpy(dst.data, src.data, act.bytes);
-          }
-        }
-        done();
-      });
       break;
     }
-    case Action::Kind::Reduce: {
-      const int wr = comm.world_rank(rank);
-      mpi::Request r = world_->reduce_compute(wr, a.bytes, a.avx);
-      r->on_complete([this, inst, rank, action, done] {
-        const Action& act = inst->plan.ranks[rank].actions[action];
-        if (world_->data_mode()) {
-          mpi::BufView src = slot_view(*inst, rank, act.src, act.bytes);
-          mpi::BufView dst = slot_view(*inst, rank, act.dst, act.bytes);
-          if (src.has_data() && dst.has_data()) {
-            // Byte counts are element-aligned by the builder's contract.
-            const std::size_t count = act.bytes / type_size(act.dtype);
-            mpi::apply_reduce(act.op, act.dtype, dst.data, src.data, count);
-          }
-        }
-        done();
-      });
+    case Action::Kind::Reduce:
+      r = world_->reduce_compute(comm.world_rank(rank), a.bytes, a.avx);
       break;
-    }
-    case Action::Kind::Compute: {
-      const int wr = comm.world_rank(rank);
-      mpi::Request r = world_->compute(wr, a.seconds);
-      r->on_complete(done);
+    case Action::Kind::Compute:
+      r = world_->compute(comm.world_rank(rank), a.seconds);
       break;
-    }
     case Action::Kind::CrossCopy: {
       const int wr = comm.world_rank(rank);
       const int peer_wr = comm.world_rank(a.peer);
@@ -331,22 +283,10 @@ void CollRuntime::execute(const InstancePtr& inst, int rank, int action) {
                               ? a.copy_cap
                               : world_->profile().core_copy_bandwidth) *
                          factor;
-      mpi::Request r = world_->copy_flow_pair(
+      r = world_->copy_flow_pair(
           wr, peer_wr,
           static_cast<std::size_t>(static_cast<double>(a.bytes) * factor),
           cap);
-      r->on_complete([this, inst, rank, action, done] {
-        const Action& act = inst->plan.ranks[rank].actions[action];
-        if (world_->data_mode()) {
-          mpi::BufView src = slot_view(*inst, act.peer, act.src, act.bytes);
-          mpi::BufView dst = slot_view(*inst, rank, act.dst, act.bytes);
-          if (src.has_data() && dst.has_data() &&
-              dst.data != src.data) {  // in-place copies are no-ops
-            std::memcpy(dst.data, src.data, act.bytes);
-          }
-        }
-        done();
-      });
       break;
     }
     case Action::Kind::CrossReduce: {
@@ -354,37 +294,78 @@ void CollRuntime::execute(const InstancePtr& inst, int rank, int action) {
       HAN_ASSERT_MSG(world_->rank(wr).node ==
                          world_->rank(comm.world_rank(a.peer)).node,
                      "CrossReduce peers must share a node");
-      mpi::Request r = world_->reduce_compute(wr, a.bytes, a.avx);
-      r->on_complete([this, inst, rank, action, done] {
-        const Action& act = inst->plan.ranks[rank].actions[action];
-        if (world_->data_mode()) {
-          mpi::BufView src = slot_view(*inst, act.peer, act.src, act.bytes);
-          mpi::BufView dst = slot_view(*inst, rank, act.dst, act.bytes);
-          if (src.has_data() && dst.has_data()) {
-            const std::size_t count = act.bytes / type_size(act.dtype);
-            mpi::apply_reduce(act.op, act.dtype, dst.data, src.data, count);
-          }
-        }
-        done();
-      });
+      r = world_->reduce_compute(wr, a.bytes, a.avx);
       break;
     }
-    case Action::Kind::Noop: {
+    case Action::Kind::Noop:
       world_->engine().schedule_after(0.0, done);
-      break;
-    }
+      return;
   }
+  r->on_complete(done);
 }
 
-void CollRuntime::complete_action(const InstancePtr& inst, int rank,
-                                  int action) {
+void CollRuntime::finish_action(Instance* inst, int rank, int action,
+                                sim::Time t0, LevelStats* level) {
+  const Action& a = inst->action(rank, action);
+  if (world_->data_mode()) {
+    // Cross* actions read the peer's slot; in-place copies are no-ops.
+    // Reduce byte counts are element-aligned by the builder's contract.
+    switch (a.kind) {
+      case Action::Kind::Copy:
+      case Action::Kind::CrossCopy: {
+        const int owner = a.kind == Action::Kind::CrossCopy ? a.peer : rank;
+        mpi::BufView src = slot_view(*inst, owner, a.src, a.bytes);
+        mpi::BufView dst = slot_view(*inst, rank, a.dst, a.bytes);
+        if (src.has_data() && dst.has_data() && dst.data != src.data) {
+          std::memcpy(dst.data, src.data, a.bytes);
+        }
+        break;
+      }
+      case Action::Kind::Reduce:
+      case Action::Kind::CrossReduce: {
+        const int owner = a.kind == Action::Kind::CrossReduce ? a.peer : rank;
+        mpi::BufView src = slot_view(*inst, owner, a.src, a.bytes);
+        mpi::BufView dst = slot_view(*inst, rank, a.dst, a.bytes);
+        if (src.has_data() && dst.has_data()) {
+          const std::size_t count = a.bytes / type_size(a.dtype);
+          mpi::apply_reduce(a.op, a.dtype, dst.data, src.data, count);
+        }
+        break;
+      }
+      default:
+        break;
+    }
+  }
+
+  const int kind = static_cast<int>(a.kind);
+  const sim::Time now = world_->now();
+  const sim::Time dt = now - t0;
+  kinds_[kind].busy->add(dt);
+  level->busy->add(dt);
+  inflight_->add(now, -1.0);
+  level->inflight->add(now, -1.0);
+  action_seconds_->observe(dt);
+  if (tracer_ != nullptr) {
+    const int wr = inst->comm->world_rank(rank);
+    const std::string name =
+        std::string(kKindNames[kind]) + " " + sim::format_bytes(a.bytes);
+    tracer_->span(wr, "coll", name, t0, now, world_->rank(wr).node);
+  }
+  complete_action(inst, rank, action);
+}
+
+void CollRuntime::complete_action(Instance* inst, int rank, int action) {
   RankState& rs = inst->ranks[rank];
   --rs.actions_left;
   --inst->total_actions_left;
-  for (const DepRef& d : inst->dependents[rank][action]) {
-    // d.rank/d.action name the *dependent* here (reverse edge).
+  const PlanGraph& g = inst->compiled->graph;
+  const int node = inst->flat(rank, action);
+  for (int k = g.dependents_begin[node]; k < g.dependents_begin[node + 1];
+       ++k) {
+    // Reverse edge: d names the *dependent* action.
+    const DepRef& d = g.dependents[k];
     auto unblock = [this, inst, r = d.rank, a = d.action] {
-      if (--inst->ranks[r].deps_left[a] == 0) try_launch(inst, r, a);
+      if (--inst->deps_left[inst->flat(r, a)] == 0) try_launch(inst, r, a);
     };
     if (d.latency > 0.0) {
       world_->engine().schedule_after(d.latency, unblock);
@@ -398,10 +379,14 @@ void CollRuntime::complete_action(const InstancePtr& inst, int rank,
   }
 }
 
-void CollRuntime::maybe_retire(const InstancePtr& inst) {
-  if (inst->total_actions_left == 0 && inst->ranks_not_arrived == 0) {
-    instances_.erase(std::make_pair(inst->comm->context(), inst->seq));
+void CollRuntime::maybe_retire(Instance* inst) {
+  if (inst->total_actions_left != 0 || inst->ranks_not_arrived != 0) return;
+  if (--inst->compiled->users == 0) {
+    const PlanKey key = *inst->key;  // copy: erase frees the stored key
+    const std::size_t erased = plans_.erase(key);
+    HAN_ASSERT_MSG(erased == 1, "compiled plan missing at retirement");
   }
+  instances_.erase(std::make_pair(inst->comm->context(), inst->seq));
 }
 
 }  // namespace han::coll

@@ -6,16 +6,24 @@
 // communicator are matched by per-rank call order, and a rank's request
 // completes when its own actions finish (not when the whole collective
 // does), exactly like Open MPI.
+//
+// Plans are compiled once per distinct PlanKey and shared: every live
+// instance whose key compares equal runs the same validated Plan and
+// reverse-edge table, keeping only its own mutable state (dependency
+// counters, launch flags, buffers, temps, requests). A compiled plan is
+// dropped when the last instance using it retires, so an idle runtime
+// holds no plans.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "coll/builders.hpp"
 #include "coll/plan.hpp"
+#include "coll/validate.hpp"
 #include "simbase/trace.hpp"
 #include "simmpi/world.hpp"
 
@@ -29,26 +37,34 @@ class CollRuntime {
   CollRuntime& operator=(const CollRuntime&) = delete;
 
   /// Rank `comm_rank` of `comm` starts its part of the next collective in
-  /// its call order. The Plan is built once per instance, by the first
-  /// arriving rank's `build`; user buffers bind to plan slots
-  /// [0, num_user_slots).
-  mpi::Request start(const mpi::Comm& comm, int comm_rank,
-                     const std::function<Plan()>& build,
+  /// its call order. The first arriving rank creates the instance; its
+  /// plan is `key.build(key)` (with key.comm_size set to comm.size()),
+  /// compiled only when no live instance already runs an equal key. User
+  /// buffers bind to plan slots [0, num_user_slots).
+  mpi::Request start(const mpi::Comm& comm, int comm_rank, PlanKey key,
                      std::vector<mpi::BufView> user_bufs);
 
   mpi::SimWorld& world() { return *world_; }
 
   /// Live collective instances (diagnostics; 0 when quiescent).
   std::size_t live_instances() const { return instances_.size(); }
+  /// Compiled plans held by live instances (diagnostics; 0 when
+  /// quiescent).
+  std::size_t live_plans() const { return plans_.size(); }
+  /// Instances created and plans compiled since construction; their
+  /// difference is the number of instances that found a live plan.
+  std::uint64_t instances_created() const { return instances_created_; }
+  std::uint64_t plans_compiled() const { return plans_compiled_; }
 
   /// Attach a tracer: every executed action emits a (rank, kind, bytes)
   /// span, grouped under the rank's simulated node. Pass nullptr to detach.
   void set_tracer(sim::Tracer* tracer) { tracer_ = tracer; }
   sim::Tracer* tracer() const { return tracer_; }
 
-  /// Install an extra pre-execution plan check, run on every freshly
-  /// built Plan right after the structural validate_plan(). Returns "" to
-  /// accept or a diagnostic to abort on (HAN_ASSERT with the message).
+  /// Install an extra pre-execution plan check, run once per collective
+  /// instance on its plan, compiled or shared, after the structural
+  /// validate_plan(). Returns "" to accept or a diagnostic to abort on
+  /// (HAN_ASSERT with the message).
   /// han::verify::arm_plan_gate() installs its semantic analyzer here —
   /// dependency injection keeps coll/ below verify/ in the layer order.
   using PlanChecker = std::function<std::string(const Plan&, int comm_size)>;
@@ -78,39 +94,60 @@ class CollRuntime {
 
   LevelStats& make_level(const std::string& label);
   LevelStats* level_stats(int context);
+
+  /// A validated plan plus its flattened dependency graph, shared by every
+  /// live instance with an equal key.
+  struct CompiledPlan {
+    Plan plan;
+    PlanGraph graph;
+    int users = 0;  // live instances running this plan
+  };
+
   struct RankState {
     bool arrived = false;
+    int actions_left = 0;
     std::vector<mpi::BufView> user_bufs;
     std::vector<std::vector<std::byte>> temps;
-    std::vector<int> deps_left;     // per action
-    std::vector<char> launched;     // per action
-    int actions_left = 0;
     mpi::Request req;
   };
 
   struct Instance {
     const mpi::Comm* comm = nullptr;
     std::uint64_t seq = 0;
-    Plan plan;
+    const PlanKey* key = nullptr;  // the plan's entry in plans_
+    CompiledPlan* compiled = nullptr;
+    // Per flattened action (PlanGraph::base numbering).
+    std::vector<int> deps_left;
+    std::vector<char> launched;
     std::vector<RankState> ranks;
-    // Reverse dependency edges: dependents[r][a] lists actions unblocked
-    // by completion of action a on rank r.
-    std::vector<std::vector<std::vector<DepRef>>> dependents;
     long total_actions_left = 0;
     int ranks_not_arrived = 0;
-  };
-  using InstancePtr = std::shared_ptr<Instance>;
 
-  InstancePtr get_or_create(const mpi::Comm& comm, std::uint64_t seq,
-                            const std::function<Plan()>& build);
-  void arrive(const InstancePtr& inst, int rank,
-              std::vector<mpi::BufView> user_bufs, mpi::Request req);
-  void try_launch(const InstancePtr& inst, int rank, int action);
-  void execute(const InstancePtr& inst, int rank, int action);
-  void complete_action(const InstancePtr& inst, int rank, int action);
+    const Action& action(int rank, int a) const {
+      return compiled->plan.ranks[rank].actions[a];
+    }
+    int flat(int rank, int a) const { return compiled->graph.base[rank] + a; }
+  };
+
+  // Callbacks capture a raw Instance*: an instance retires (and is freed)
+  // only after all its actions and delayed unblocks have run.
+  Instance& get_or_create(const mpi::Comm& comm, std::uint64_t seq,
+                          const PlanKey& key);
+  using PlanEntry = std::pair<const PlanKey, CompiledPlan>;
+  /// The live plan for `key`, compiled on a miss; counts one more user.
+  PlanEntry& acquire_plan(const PlanKey& key);
+  void arrive(Instance* inst, int rank, std::vector<mpi::BufView> user_bufs,
+              mpi::Request req);
+  void try_launch(Instance* inst, int rank, int action);
+  void execute(Instance* inst, int rank, int action);
+  /// Completion of an executed action: data movement (data mode), action
+  /// accounting, then dependency release.
+  void finish_action(Instance* inst, int rank, int action, sim::Time t0,
+                     LevelStats* level);
+  void complete_action(Instance* inst, int rank, int action);
   mpi::BufView slot_view(Instance& inst, int rank, SlotRef ref,
                          std::size_t bytes) const;
-  void maybe_retire(const InstancePtr& inst);
+  void maybe_retire(Instance* inst);
   /// Drop per-context state when its communicator is destroyed: the
   /// recycled context id would otherwise hand a fresh comm the stale call
   /// sequence and level label.
@@ -122,7 +159,11 @@ class CollRuntime {
   int destroy_observer_ = -1;  // SimWorld comm-destroy observer token
   // Per-comm-context, per-comm-rank collective call counters.
   std::unordered_map<int, std::vector<std::uint64_t>> call_seq_;
-  std::map<std::pair<int, std::uint64_t>, InstancePtr> instances_;
+  // Map nodes keep Instance and CompiledPlan addresses stable.
+  std::map<std::pair<int, std::uint64_t>, Instance> instances_;
+  std::unordered_map<PlanKey, CompiledPlan, PlanKeyHash> plans_;
+  std::uint64_t instances_created_ = 0;
+  std::uint64_t plans_compiled_ = 0;
   // Observability (pointers into the world's registry; stable for life).
   KindStats kinds_[8];
   obs::Gauge* inflight_ = nullptr;

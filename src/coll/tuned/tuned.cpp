@@ -96,10 +96,8 @@ mpi::Request TunedModule::iallreduce(const mpi::Comm& comm, int me,
     spec.dtype = dtype;
     spec.op = op;
     spec.op_setup = 0.2e-6;
-    const int n = comm.size();
-    return rt().start(
-        comm, me, [n, spec] { return build_ring_allreduce(n, spec); },
-        {send, recv});
+    return rt().start(comm, me, spec_key<build_ring_allreduce>(spec),
+                      {send, recv});
   }
   return TreeCollModule::iallreduce(comm, me, send, recv, dtype, op, cfg);
 }

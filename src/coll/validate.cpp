@@ -50,15 +50,18 @@ bool uses_peer(Action::Kind k) {
 
 /// Check one slot reference against the owning rank's slot table. Only
 /// temp-slot extents are knowable here (user buffers bind at start()).
+/// `rank`/`action`/`role` name the referencing action; the diagnostic is
+/// formatted only when the reference is bad.
 std::string check_slot(const Plan& plan, int owner, const SlotRef& ref,
-                       std::size_t bytes, const std::string& where) {
+                       std::size_t bytes, int rank, int action,
+                       const char* role) {
   const std::size_t temps = plan.ranks[owner].temp_slots.size();
   const std::size_t total =
       static_cast<std::size_t>(plan.num_user_slots) + temps;
   if (ref.slot < 0 || static_cast<std::size_t>(ref.slot) >= total) {
-    return where + " references slot " + std::to_string(ref.slot) +
-           " but rank " + std::to_string(owner) + " has " +
-           std::to_string(total) + " slots";
+    return node_name(rank, action) + " " + role + " references slot " +
+           std::to_string(ref.slot) + " but rank " + std::to_string(owner) +
+           " has " + std::to_string(total) + " slots";
   }
   if (ref.slot >= plan.num_user_slots) {
     const std::size_t size =
@@ -66,9 +69,10 @@ std::string check_slot(const Plan& plan, int owner, const SlotRef& ref,
             .temp_slots[static_cast<std::size_t>(ref.slot) -
                         static_cast<std::size_t>(plan.num_user_slots)];
     if (ref.offset + bytes > size) {
-      return where + " overruns temp slot " + std::to_string(ref.slot) +
-             " (" + std::to_string(ref.offset) + " + " +
-             std::to_string(bytes) + " > " + std::to_string(size) + ")";
+      return node_name(rank, action) + " " + role + " overruns temp slot " +
+             std::to_string(ref.slot) + " (" + std::to_string(ref.offset) +
+             " + " + std::to_string(bytes) + " > " + std::to_string(size) +
+             ")";
     }
   }
   return "";
@@ -76,7 +80,7 @@ std::string check_slot(const Plan& plan, int owner, const SlotRef& ref,
 
 }  // namespace
 
-std::string validate_plan(const Plan& plan, int comm_size) {
+std::string validate_plan(const Plan& plan, int comm_size, PlanGraph* graph) {
   const int n = static_cast<int>(plan.ranks.size());
   if (n != comm_size) {
     return "plan has " + std::to_string(n) + " rank plans for a size-" +
@@ -87,24 +91,26 @@ std::string validate_plan(const Plan& plan, int comm_size) {
   }
 
   // Flatten (rank, action) to one node id for the global cycle check.
-  std::vector<int> base(n + 1, 0);
+  PlanGraph g;
+  g.base.assign(n + 1, 0);
   for (int r = 0; r < n; ++r) {
-    base[r + 1] = base[r] + static_cast<int>(plan.ranks[r].actions.size());
+    g.base[r + 1] = g.base[r] + static_cast<int>(plan.ranks[r].actions.size());
   }
-  const int total = base[n];
-  std::vector<int> indegree(total, 0);
-  std::vector<std::vector<int>> dependents(total);
+  const int total = g.base[n];
+  g.indegree.assign(total, 0);
+  g.dependents_begin.assign(total + 1, 0);
 
+  // Pass 1: check every action and count each node's dependents.
   for (int r = 0; r < n; ++r) {
     const auto& actions = plan.ranks[r].actions;
     for (int a = 0; a < static_cast<int>(actions.size()); ++a) {
       const Action& act = actions[a];
-      const std::string who = node_name(r, a);
       if (act.tag < 0) {
-        return who + " has negative tag " + std::to_string(act.tag);
+        return node_name(r, a) + " has negative tag " +
+               std::to_string(act.tag);
       }
       if (uses_peer(act.kind) && (act.peer < 0 || act.peer >= n)) {
-        return who + " peers with out-of-range rank " +
+        return node_name(r, a) + " peers with out-of-range rank " +
                std::to_string(act.peer);
       }
       // Cross* actions read the *peer's* src slot; everything else its own.
@@ -113,35 +119,58 @@ std::string validate_plan(const Plan& plan, int comm_size) {
       if (uses_src(act.kind)) {
         const int owner = cross ? act.peer : r;
         std::string err =
-            check_slot(plan, owner, act.src, act.bytes, who + " src");
+            check_slot(plan, owner, act.src, act.bytes, r, a, "src");
         if (!err.empty()) return err;
       }
       if (uses_dst(act.kind)) {
-        std::string err = check_slot(plan, r, act.dst, act.bytes, who + " dst");
+        std::string err = check_slot(plan, r, act.dst, act.bytes, r, a, "dst");
         if (!err.empty()) return err;
       }
       for (const DepRef& d : act.deps) {
         const int dr = d.rank == DepRef::kSameRank ? r : d.rank;
         if (dr < 0 || dr >= n) {
-          return who + " depends on out-of-range rank " +
+          return node_name(r, a) + " depends on out-of-range rank " +
                  std::to_string(d.rank);
         }
         const int dn = static_cast<int>(plan.ranks[dr].actions.size());
         if (d.action < 0 || d.action >= dn) {
-          return who + " depends on out-of-range action " +
+          return node_name(r, a) + " depends on out-of-range action " +
                  std::to_string(d.action) + " of rank " + std::to_string(dr);
         }
-        if (dr == r && d.action == a) return who + " depends on itself";
-        if (d.latency < 0.0) return who + " has a negative dep latency";
-        const int from = base[dr] + d.action;
-        dependents[from].push_back(base[r] + a);
-        ++indegree[base[r] + a];
+        if (dr == r && d.action == a) {
+          return node_name(r, a) + " depends on itself";
+        }
+        if (d.latency < 0.0) {
+          return node_name(r, a) + " has a negative dep latency";
+        }
+        ++g.dependents_begin[g.base[dr] + d.action + 1];
+        ++g.indegree[g.base[r] + a];
+      }
+    }
+  }
+
+  // Pass 2: reverse edges in CSR form, each node's dependents in plan
+  // order (the order the runtime unblocks them in).
+  for (int i = 0; i < total; ++i) {
+    g.dependents_begin[i + 1] += g.dependents_begin[i];
+  }
+  g.dependents.resize(g.dependents_begin[total]);
+  std::vector<int> cursor(g.dependents_begin.begin(),
+                          g.dependents_begin.end() - 1);
+  for (int r = 0; r < n; ++r) {
+    const auto& actions = plan.ranks[r].actions;
+    for (int a = 0; a < static_cast<int>(actions.size()); ++a) {
+      for (const DepRef& d : actions[a].deps) {
+        const int dr = d.rank == DepRef::kSameRank ? r : d.rank;
+        g.dependents[cursor[g.base[dr] + d.action]++] =
+            DepRef{r, a, d.latency};
       }
     }
   }
 
   // Kahn over the whole multi-rank DAG: every action must be reachable
   // from the dep-free set, or some subset deadlocks at runtime.
+  std::vector<int> indegree = g.indegree;
   std::vector<int> ready;
   for (int i = 0; i < total; ++i) {
     if (indegree[i] == 0) ready.push_back(i);
@@ -151,7 +180,9 @@ std::string validate_plan(const Plan& plan, int comm_size) {
     const int i = ready.back();
     ready.pop_back();
     ++visited;
-    for (int j : dependents[i]) {
+    for (int k = g.dependents_begin[i]; k < g.dependents_begin[i + 1]; ++k) {
+      const DepRef& d = g.dependents[k];
+      const int j = g.base[d.rank] + d.action;
       if (--indegree[j] == 0) ready.push_back(j);
     }
   }
@@ -159,6 +190,7 @@ std::string validate_plan(const Plan& plan, int comm_size) {
     return "dependency cycle among " + std::to_string(total - visited) +
            " of " + std::to_string(total) + " actions";
   }
+  if (graph != nullptr) *graph = std::move(g);
   return "";
 }
 

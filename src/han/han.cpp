@@ -1,6 +1,7 @@
 #include "han/han.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "han/synth/schedule_builder.hpp"
 #include "han/task/builders.hpp"
@@ -32,7 +33,11 @@ synth::SynthSpec resolve_sched(const HanConfig& cfg, CollKind kind) {
 
 HanModule::HanModule(mpi::SimWorld& world, coll::CollRuntime& rt,
                      coll::ModuleSet& mods)
-    : coll::CollModule(world, rt), mods_(&mods) {
+    : coll::CollModule(world, rt),
+      mods_(&mods),
+      derived_topo_(TopologyDescriptor::from_profile(world.profile())),
+      flat_topo_(TopologyDescriptor::flat()),
+      task_metrics_(world.metrics()) {
   // When a communicator dies, its cached ladders must die with it — the
   // context id is recycled, and a later comm reusing it would otherwise
   // inherit this comm's level splits. Freeing the splits re-enters
@@ -101,12 +106,36 @@ HanConfig HanModule::decide(CollKind kind, const mpi::Comm& comm,
   HanConfig cfg =
       decider_ ? decider_(kind, hc.node_count(), hc.max_ppn(), bytes)
                : default_config(kind, hc.node_count(), hc.max_ppn(), bytes);
-  obs::MetricsRegistry& m = world().metrics();
-  m.counter(std::string("han.decide.") + coll::coll_kind_name(kind)).add(1.0);
-  m.counter("han.decide.bytes").add(static_cast<double>(bytes));
-  m.counter("han.cfg.imod." + cfg.imod).add(1.0);
-  m.counter("han.cfg.smod." + cfg.smod).add(1.0);
+  static_assert(static_cast<std::size_t>(CollKind::ReduceScatter) <
+                std::extent_v<decltype(decide_kind_)>);
+  obs::Counter*& per_kind = decide_kind_[static_cast<int>(kind)];
+  if (per_kind == nullptr) {
+    per_kind = &world().metrics().counter(std::string("han.decide.") +
+                                          coll::coll_kind_name(kind));
+  }
+  per_kind->add(1.0);
+  if (decide_bytes_ == nullptr) {
+    decide_bytes_ = &world().metrics().counter("han.decide.bytes");
+  }
+  decide_bytes_->add(static_cast<double>(bytes));
+  cfg_counter(cfg_imod_, "han.cfg.imod.", cfg.imod).add(1.0);
+  cfg_counter(cfg_smod_, "han.cfg.smod.", cfg.smod).add(1.0);
   return cfg;
+}
+
+obs::Counter& HanModule::cfg_counter(NamedCounters& cache, const char* prefix,
+                                     const std::string& name) {
+  for (const auto& [n, counter] : cache) {
+    if (n == name) return *counter;
+  }
+  cache.emplace_back(name, &world().metrics().counter(prefix + name));
+  return *cache.back().second;
+}
+
+mpi::Request HanModule::schedule(task::TaskGraph graph, int window,
+                                 int trace_rank) {
+  return task::TaskScheduler::run(rt(), task_metrics_, std::move(graph),
+                                  window, trace_rank);
 }
 
 Hierarchy& HanModule::hierarchy(const mpi::Comm& comm,
@@ -133,11 +162,11 @@ Hierarchy& HanModule::hierarchy(const mpi::Comm& comm,
 }
 
 Hierarchy& HanModule::hierarchy(const mpi::Comm& comm) {
-  return hierarchy(comm, TopologyDescriptor::from_profile(world().profile()));
+  return hierarchy(comm, derived_topo_);
 }
 
 Hierarchy& HanModule::flat_hierarchy(const mpi::Comm& comm) {
-  return hierarchy(comm, TopologyDescriptor::flat());
+  return hierarchy(comm, flat_topo_);
 }
 
 Hierarchy& HanModule::ladder_for(const mpi::Comm& comm,
@@ -159,25 +188,6 @@ coll::CollModule* HanModule::intra_module(const HanConfig& cfg) {
   return m;
 }
 
-namespace {
-
-/// HAN's two-level data layout requires node-contiguous rank placement on
-/// the parent communicator (true for the world communicator; Open MPI HAN
-/// likewise disables itself otherwise).
-bool node_contiguous(const Hierarchy& hc) {
-  const mpi::Comm& parent = hc.parent();
-  for (int pr = 1; pr < parent.size(); ++pr) {
-    // Parent ranks on the same node must be consecutive.
-    const bool same_low =
-        &hc.low(pr) == &hc.low(pr - 1);
-    if (same_low && hc.low_rank(pr) != hc.low_rank(pr - 1) + 1) return false;
-    if (!same_low && hc.low_rank(pr) != 0) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 // Every collective below builds its per-rank TaskGraph declaratively
 // (task/builders.cpp) and hands it to the TaskScheduler; cfg.window = 1
 // reproduces the paper's lock-step wait-all pipelines.
@@ -187,14 +197,13 @@ mpi::Request HanModule::ibcast_cfg(const mpi::Comm& comm, int me, int root,
                                    const HanConfig& cfg) {
   if (!cfg.sched.empty()) {
     const synth::SynthSpec spec = resolve_sched(cfg, CollKind::Bcast);
-    return task::TaskScheduler::run(
-        rt(),
+    return schedule(
         synth::build_schedule_bcast(*this, comm, me, root, buf, dtype, cfg,
                                     spec),
         cfg.window, comm.world_rank(me));
   }
-  return task::TaskScheduler::run(
-      rt(), task::build_bcast(*this, comm, me, root, buf, dtype, cfg),
+  return schedule(
+      task::build_bcast(*this, comm, me, root, buf, dtype, cfg),
       cfg.window, comm.world_rank(me));
 }
 
@@ -209,8 +218,7 @@ mpi::Request HanModule::ireduce_cfg(const mpi::Comm& comm, int me, int root,
                                     BufView send, BufView recv,
                                     mpi::Datatype dtype, mpi::ReduceOp op,
                                     const HanConfig& cfg) {
-  return task::TaskScheduler::run(
-      rt(),
+  return schedule(
       task::build_reduce(*this, comm, me, root, send, recv, dtype, op, cfg),
       cfg.window, comm.world_rank(me));
 }
@@ -229,14 +237,12 @@ mpi::Request HanModule::iallreduce_cfg(const mpi::Comm& comm, int me,
                                        const HanConfig& cfg) {
   if (!cfg.sched.empty()) {
     const synth::SynthSpec spec = resolve_sched(cfg, CollKind::Allreduce);
-    return task::TaskScheduler::run(
-        rt(),
+    return schedule(
         synth::build_schedule_allreduce(*this, comm, me, send, recv, dtype,
                                         op, cfg, spec),
         cfg.window, comm.world_rank(me));
   }
-  return task::TaskScheduler::run(
-      rt(),
+  return schedule(
       task::build_allreduce(*this, comm, me, send, recv, dtype, op, cfg),
       cfg.window, comm.world_rank(me));
 }
@@ -264,8 +270,7 @@ mpi::Request HanModule::iallreduce_multileader(const mpi::Comm& comm, int me,
     // Degenerate shapes reuse the single-leader pipeline.
     return iallreduce_cfg(comm, me, send, recv, dtype, op, cfg);
   }
-  return task::TaskScheduler::run(
-      rt(),
+  return schedule(
       task::build_allreduce_multileader(*this, comm, me, send, recv, dtype,
                                         op, cfg, k),
       cfg.window, comm.world_rank(me));
@@ -274,33 +279,33 @@ mpi::Request HanModule::iallreduce_multileader(const mpi::Comm& comm, int me,
 mpi::Request HanModule::igather(const mpi::Comm& comm, int me, int root,
                                 BufView send, BufView recv,
                                 const CollConfig& /*cfg*/) {
-  HAN_ASSERT_MSG(node_contiguous(flat_hierarchy(comm)),
+  HAN_ASSERT_MSG(flat_hierarchy(comm).node_contiguous(),
                  "HAN gather requires node-contiguous rank placement");
   const HanConfig cfg = decide(CollKind::Gather, comm, send.bytes);
-  return task::TaskScheduler::run(
-      rt(), task::build_gather(*this, comm, me, root, send, recv, cfg),
+  return schedule(
+      task::build_gather(*this, comm, me, root, send, recv, cfg),
       cfg.window, comm.world_rank(me));
 }
 
 mpi::Request HanModule::iscatter(const mpi::Comm& comm, int me, int root,
                                  BufView send, BufView recv,
                                  const CollConfig& /*cfg*/) {
-  HAN_ASSERT_MSG(node_contiguous(flat_hierarchy(comm)),
+  HAN_ASSERT_MSG(flat_hierarchy(comm).node_contiguous(),
                  "HAN scatter requires node-contiguous rank placement");
   const HanConfig cfg = decide(CollKind::Scatter, comm, recv.bytes);
-  return task::TaskScheduler::run(
-      rt(), task::build_scatter(*this, comm, me, root, send, recv, cfg),
+  return schedule(
+      task::build_scatter(*this, comm, me, root, send, recv, cfg),
       cfg.window, comm.world_rank(me));
 }
 
 mpi::Request HanModule::iallgather(const mpi::Comm& comm, int me,
                                    BufView send, BufView recv,
                                    const CollConfig& /*cfg*/) {
-  HAN_ASSERT_MSG(node_contiguous(flat_hierarchy(comm)),
+  HAN_ASSERT_MSG(flat_hierarchy(comm).node_contiguous(),
                  "HAN allgather requires node-contiguous rank placement");
   const HanConfig cfg = decide(CollKind::Allgather, comm, send.bytes);
-  return task::TaskScheduler::run(
-      rt(), task::build_allgather(*this, comm, me, send, recv, cfg),
+  return schedule(
+      task::build_allgather(*this, comm, me, send, recv, cfg),
       cfg.window, comm.world_rank(me));
 }
 
@@ -310,15 +315,14 @@ mpi::Request HanModule::ireduce_scatter_cfg(const mpi::Comm& comm, int me,
                                             mpi::ReduceOp op,
                                             const HanConfig& cfg) {
   Hierarchy& hc = flat_hierarchy(comm);
-  HAN_ASSERT_MSG(node_contiguous(hc),
+  HAN_ASSERT_MSG(hc.node_contiguous(),
                  "HAN reduce_scatter requires node-contiguous rank placement");
   HAN_ASSERT_MSG(
       send.bytes == recv.bytes * static_cast<std::size_t>(comm.size()),
       "reduce_scatter: send must be comm_size equal blocks of recv.bytes");
   HAN_ASSERT_MSG(hc.node_count() * hc.max_ppn() == comm.size(),
                  "HAN reduce_scatter requires a uniform ppn");
-  return task::TaskScheduler::run(
-      rt(),
+  return schedule(
       task::build_reduce_scatter(*this, comm, me, send, recv, dtype, op,
                                  cfg),
       cfg.window, comm.world_rank(me));
@@ -334,8 +338,8 @@ mpi::Request HanModule::ireduce_scatter(const mpi::Comm& comm, int me,
 }
 
 mpi::Request HanModule::ibarrier(const mpi::Comm& comm, int me) {
-  return task::TaskScheduler::run(rt(), task::build_barrier(*this, comm, me),
-                                  /*window=*/1, comm.world_rank(me));
+  return schedule(task::build_barrier(*this, comm, me), /*window=*/1,
+                  comm.world_rank(me));
 }
 
 }  // namespace han::core

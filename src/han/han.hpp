@@ -16,11 +16,15 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "coll/registry.hpp"
 #include "han/config.hpp"
 #include "han/hierarchy.hpp"
+#include "han/task/scheduler.hpp"
 
 namespace han::core {
 
@@ -132,8 +136,26 @@ class HanModule : public coll::CollModule {
   coll::ModuleSet& modules() { return *mods_; }
 
  private:
+  /// Run a built task graph through the scheduler with this module's
+  /// han.task.* metric handles.
+  mpi::Request schedule(task::TaskGraph graph, int window, int trace_rank);
+
+  /// han.decide.* / han.cfg.* counters, each resolved on first use.
+  using NamedCounters = std::vector<std::pair<std::string, obs::Counter*>>;
+  obs::Counter& cfg_counter(NamedCounters& cache, const char* prefix,
+                            const std::string& name);
+
   coll::ModuleSet* mods_;
   Decider decider_;
+  // Both descriptors are fixed for the module's world; built once here
+  // rather than on every hierarchy() lookup.
+  const TopologyDescriptor derived_topo_;
+  const TopologyDescriptor flat_topo_;
+  task::TaskMetrics task_metrics_;
+  obs::Counter* decide_kind_[8] = {};  // one per coll::CollKind
+  obs::Counter* decide_bytes_ = nullptr;
+  NamedCounters cfg_imod_;
+  NamedCounters cfg_smod_;
   // Ladders cached by parent context; a context holds one ladder per
   // distinct descriptor (flat + derived, typically). Vector scan keeps
   // lookup deterministic and the descriptor set is tiny.

@@ -134,6 +134,15 @@ Hierarchy::Hierarchy(mpi::SimWorld& world, const mpi::Comm& parent,
     }
   }
 
+  for (int pr = 1; pr < n; ++pr) {
+    // Parent ranks sharing a level-0 comm must be consecutive.
+    const bool same_low = comms_[0][pr] == comms_[0][pr - 1];
+    if (ranks_[0][pr] != (same_low ? ranks_[0][pr - 1] + 1 : 0)) {
+      node_contiguous_ = false;
+      break;
+    }
+  }
+
   node_count_ = comms_[d - 1][0] != nullptr ? comms_[d - 1][0]->size() : 1;
   for (int pr = 0; pr < n; ++pr) {
     int below = 1;

@@ -97,6 +97,13 @@ class Hierarchy {
   /// of their sub-top communicator sizes.
   int max_ppn() const { return max_ppn_; }
 
+  /// True when every level-0 communicator holds consecutive parent ranks
+  /// in parent-rank order — node-contiguous placement on a flat ladder,
+  /// which HAN's two-level data layout requires (true for the world
+  /// communicator; Open MPI HAN likewise disables itself otherwise).
+  /// Computed once at construction.
+  bool node_contiguous() const { return node_contiguous_; }
+
   /// The distinct communicators created by the splits (owners: SimWorld);
   /// exposed so the parent comm's destruction can free them.
   const std::vector<mpi::Comm*>& sub_comms() const { return sub_comms_; }
@@ -109,6 +116,7 @@ class Hierarchy {
   std::vector<mpi::Comm*> sub_comms_;
   int node_count_ = 0;
   int max_ppn_ = 0;
+  bool node_contiguous_ = true;
 };
 
 }  // namespace han::core

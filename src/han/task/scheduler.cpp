@@ -1,6 +1,5 @@
 #include "han/task/scheduler.hpp"
 
-#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -9,11 +8,10 @@ namespace han::task {
 
 namespace {
 
-constexpr int kOpCount = static_cast<int>(Op::Barrier) + 1;
-
 /// Per-run execution state, kept alive by the completion callbacks.
 struct Exec : std::enable_shared_from_this<Exec> {
   coll::CollRuntime* rt = nullptr;
+  TaskMetrics* metrics = nullptr;
   TaskGraph g;
   int window = 1;
   int trace_rank = 0;
@@ -26,11 +24,6 @@ struct Exec : std::enable_shared_from_this<Exec> {
   std::vector<long> step_total, step_done;
   int frontier = 0;
   int remaining = 0;
-
-  obs::Gauge* inflight = nullptr;
-  obs::Counter* c_issued = nullptr;
-  obs::Counter* c_completed = nullptr;
-  std::array<obs::Counter*, kOpCount> c_per_op{};  // cached off the hot loop
 
   void init() {
     const int n = static_cast<int>(g.nodes.size());
@@ -70,18 +63,23 @@ struct Exec : std::enable_shared_from_this<Exec> {
       ++frontier;
     }
 
-    obs::MetricsRegistry& m = rt->world().metrics();
-    inflight = &m.gauge("han.task.inflight");
-    c_issued = &m.counter("han.task.issued");
-    c_completed = &m.counter("han.task.completed");
+    TaskMetrics& m = *metrics;
+    if (m.graphs == nullptr) {
+      m.inflight = &m.registry->gauge("han.task.inflight");
+      m.issued = &m.registry->counter("han.task.issued");
+      m.completed = &m.registry->counter("han.task.completed");
+      m.graphs = &m.registry->counter("han.task.graphs");
+      m.nodes = &m.registry->counter("han.task.nodes");
+    }
     for (const TaskNode& node : g.nodes) {
-      auto& slot = c_per_op[static_cast<int>(node.op)];
+      obs::Counter*& slot = m.per_op[static_cast<int>(node.op)];
       if (slot == nullptr) {
-        slot = &m.counter(std::string("han.task.op.") + op_name(node.op));
+        slot = &m.registry->counter(std::string("han.task.op.") +
+                                    op_name(node.op));
       }
     }
-    m.counter("han.task.graphs").add(1.0);
-    m.counter("han.task.nodes").add(static_cast<double>(n));
+    m.graphs->add(1.0);
+    m.nodes->add(static_cast<double>(n));
   }
 
   bool issuable(int i) const {
@@ -97,10 +95,10 @@ struct Exec : std::enable_shared_from_this<Exec> {
     for (int i = 0; i < static_cast<int>(g.nodes.size()); ++i) {
       if (!issuable(i)) continue;
       issued[i] = 1;
-      c_issued->add(1.0);
-      c_per_op[static_cast<int>(g.nodes[i].op)]->add(1.0);
+      metrics->issued->add(1.0);
+      metrics->per_op[static_cast<int>(g.nodes[i].op)]->add(1.0);
       const double t0 = rt->world().now();
-      inflight->add(t0, 1.0);
+      metrics->inflight->add(t0, 1.0);
       mpi::Request req = g.nodes[i].issue();
       HAN_ASSERT_MSG(req != nullptr, "task issue returned a null request");
       req->on_complete([self = shared_from_this(), i, t0] {
@@ -111,8 +109,8 @@ struct Exec : std::enable_shared_from_this<Exec> {
 
   void finish(int i, double t0) {
     const double now = rt->world().now();
-    inflight->add(now, -1.0);
-    c_completed->add(1.0);
+    metrics->inflight->add(now, -1.0);
+    metrics->completed->add(1.0);
     if (sim::Tracer* tr = rt->tracer()) {
       const TaskNode& node = g.nodes[i];
       const std::string name = std::string("task.") + level_name(node.level) +
@@ -137,8 +135,8 @@ struct Exec : std::enable_shared_from_this<Exec> {
 
 }  // namespace
 
-mpi::Request TaskScheduler::run(coll::CollRuntime& rt, TaskGraph graph,
-                                int window, int trace_rank) {
+mpi::Request TaskScheduler::run(coll::CollRuntime& rt, TaskMetrics& metrics,
+                                TaskGraph graph, int window, int trace_rank) {
   HAN_ASSERT_MSG(window >= 1, "scheduler window must be >= 1");
   const std::string defect = validate_graph(graph);
   HAN_ASSERT_MSG(defect.empty(), defect.c_str());
@@ -149,6 +147,7 @@ mpi::Request TaskScheduler::run(coll::CollRuntime& rt, TaskGraph graph,
   }
   auto exec = std::make_shared<Exec>();
   exec->rt = &rt;
+  exec->metrics = &metrics;
   exec->g = std::move(graph);
   exec->window = window;
   exec->trace_rank = trace_rank;

@@ -56,9 +56,11 @@ class CoTask {
 
 /// One-shot completion object supporting multiple coroutine waiters and
 /// plain callback subscribers. Completion resumes/invokes everyone via the
-/// engine at the current simulated time. Subscribed callbacks are stored
-/// as the engine's SBO callback type, so completion fan-out stays
-/// allocation-free for small captures.
+/// engine at the current simulated time: waiters first, then callbacks,
+/// each in subscription order. The first waiter and the first callback are
+/// stored inline (most requests have exactly one subscriber), and
+/// callbacks are the engine's SBO callback type, so completion fan-out
+/// stays allocation-free for small captures.
 class Waitable {
  public:
   explicit Waitable(Engine& engine) : engine_(&engine) {}
@@ -72,8 +74,10 @@ class Waitable {
   void on_complete(Engine::Callback cb) {
     if (done_) {
       engine_->schedule_after(0.0, std::move(cb));
+    } else if (!first_callback_) {
+      first_callback_ = std::move(cb);
     } else {
-      callbacks_.push_back(std::move(cb));
+      more_callbacks_.push_back(std::move(cb));
     }
   }
 
@@ -82,14 +86,18 @@ class Waitable {
   void complete() {
     HAN_ASSERT_MSG(!done_, "Waitable completed twice");
     done_ = true;
-    for (auto& h : waiters_) {
-      engine_->schedule_after(0.0, [h] { h.resume(); });
+    if (first_waiter_) {
+      resume(first_waiter_);
+      for (std::coroutine_handle<> h : more_waiters_) resume(h);
+      more_waiters_.clear();
     }
-    waiters_.clear();
-    for (auto& cb : callbacks_) {
-      engine_->schedule_after(0.0, std::move(cb));
+    if (first_callback_) {
+      engine_->schedule_after(0.0, std::move(first_callback_));
+      for (auto& cb : more_callbacks_) {
+        engine_->schedule_after(0.0, std::move(cb));
+      }
+      more_callbacks_.clear();
     }
-    callbacks_.clear();
   }
 
   auto operator co_await() {
@@ -97,7 +105,11 @@ class Waitable {
       Waitable* w;
       bool await_ready() const noexcept { return w->done_; }
       void await_suspend(std::coroutine_handle<> h) {
-        w->waiters_.push_back(h);
+        if (!w->first_waiter_) {
+          w->first_waiter_ = h;
+        } else {
+          w->more_waiters_.push_back(h);
+        }
       }
       void await_resume() const noexcept {}
     };
@@ -107,10 +119,16 @@ class Waitable {
   Engine& engine() { return *engine_; }
 
  private:
+  void resume(std::coroutine_handle<> h) {
+    engine_->schedule_after(0.0, [h] { h.resume(); });
+  }
+
   Engine* engine_;
   bool done_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
-  std::vector<Engine::Callback> callbacks_;
+  std::coroutine_handle<> first_waiter_;
+  std::vector<std::coroutine_handle<>> more_waiters_;
+  Engine::Callback first_callback_;
+  std::vector<Engine::Callback> more_callbacks_;
 };
 
 /// Awaitable timer: `co_await Delay{engine, dt};`

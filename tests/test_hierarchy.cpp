@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "coll_test_util.hpp"
 #include "han/han.hpp"
@@ -298,6 +299,9 @@ struct DegenCase {
   bool expect_top_null;  // top family nulled for every rank
 };
 
+// Stable test IDs: ctest names carry the printed parameter.
+void PrintTo(const DegenCase& c, std::ostream* os) { *os << c.tag; }
+
 class DegenerateLadder : public ::testing::TestWithParam<DegenCase> {};
 
 machine::MachineProfile degen_profile(const DegenCase& c) {
@@ -459,7 +463,8 @@ INSTANTIATE_TEST_SUITE_P(
         // One node, flat.
         DegenCase{"one_node", 1, 4, 1, 2, true},
         // World of one.
-        DegenCase{"one_rank", 1, 1, 1, 2, true}));
+        DegenCase{"one_rank", 1, 1, 1, 2, true}),
+    [](const ::testing::TestParamInfo<DegenCase>& c) { return c.param.tag; });
 
 // --- timing: derived 3-level beats forced flat on NUMA machines -----------
 

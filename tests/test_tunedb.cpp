@@ -50,6 +50,15 @@ TEST(MachineSignature, TopologyChangesTheKey) {
   EXPECT_EQ(signature_of(machine::with_numa(machine::make_aries(8, 4), 2))
                 .key(),
             "aries.8x4.numa2");
+  // Rails: the NIC count and policy key the record; one rail keeps the
+  // plain key (and hash), so existing DB files still match.
+  const machine::MachineProfile p = machine::make_aries(8, 4);
+  machine::MachineProfile rails = machine::with_rails(p, 4);
+  EXPECT_EQ(signature_of(rails).key(), "aries.8x4.numa1.rail4");
+  EXPECT_NE(signature_of(rails).scalar_hash, signature_of(p).scalar_hash);
+  rails.rail_policy = machine::RailPolicy::RoundRobin;
+  EXPECT_EQ(signature_of(rails).key(), "aries.8x4.numa1.rail4.rr");
+  EXPECT_EQ(signature_of(machine::with_rails(p, 1)), signature_of(p));
 }
 
 TEST(MachineSignature, ScalarChangeInvalidatesEveryBand) {

@@ -101,6 +101,70 @@ TEST(PlanValidate, NegativeTag) {
   EXPECT_NE(validate_plan(p, 2), "");
 }
 
+TEST(PlanValidate, DiagnosticsNameTheFirstDefect) {
+  // Diagnostics are formatted only on a defect; their text is pinned.
+  EXPECT_EQ(validate_plan(two_rank_sendrecv(), 3),
+            "plan has 2 rank plans for a size-3 communicator");
+  auto defect = [](auto edit) {
+    Plan p = two_rank_sendrecv();
+    edit(p);
+    return validate_plan(p, 2);
+  };
+  EXPECT_EQ(defect([](Plan& p) { p.ranks[0].actions[0].tag = -1; }),
+            "rank 0 action 0 has negative tag -1");
+  EXPECT_EQ(defect([](Plan& p) { p.ranks[0].actions[0].peer = 2; }),
+            "rank 0 action 0 peers with out-of-range rank 2");
+  EXPECT_EQ(defect([](Plan& p) { p.ranks[0].actions[0].src.slot = 5; }),
+            "rank 0 action 0 src references slot 5 but rank 0 has 1 slots");
+  EXPECT_EQ(defect([](Plan& p) {
+              p.ranks[1].actions[0].deps.push_back(DepRef{5, 0, 0.0});
+            }),
+            "rank 1 action 0 depends on out-of-range rank 5");
+  EXPECT_EQ(defect([](Plan& p) {
+              p.ranks[1].actions[0].deps.push_back(DepRef{0, 7, 0.0});
+            }),
+            "rank 1 action 0 depends on out-of-range action 7 of rank 0");
+  EXPECT_EQ(defect([](Plan& p) {
+              p.ranks[0].actions[0].deps.push_back(coll::dep(0));
+            }),
+            "rank 0 action 0 depends on itself");
+  EXPECT_EQ(defect([](Plan& p) {
+              p.ranks[1].actions[0].deps.push_back(DepRef{0, 0, -1.0});
+            }),
+            "rank 1 action 0 has a negative dep latency");
+  EXPECT_EQ(defect([](Plan& p) {
+              p.ranks[0].actions[0].deps.push_back(coll::cross_dep(1, 0, 0.0));
+              p.ranks[1].actions[0].deps.push_back(coll::cross_dep(0, 0, 0.0));
+            }),
+            "dependency cycle among 2 of 2 actions");
+
+  Plan p(1, 1);
+  p.ranks[0].temp_slots.push_back(8);
+  p.ranks[0].add(coll::copy_action(16, SlotRef{0, 0}, SlotRef{1, 0}));
+  EXPECT_EQ(validate_plan(p, 1),
+            "rank 0 action 0 dst overruns temp slot 1 (0 + 16 > 8)");
+}
+
+TEST(PlanValidate, GraphHoldsReverseEdgesInPlanOrder) {
+  // rank 0: a0, a1 (deps a0); rank 1: a0 (deps rank 0 a0 after 1 us).
+  Plan p(2, 1);
+  p.ranks[0].add(Action{});
+  Action second;
+  second.deps.push_back(coll::dep(0));
+  p.ranks[0].add(second);
+  Action remote;
+  remote.deps.push_back(coll::cross_dep(0, 0, 1e-6));
+  p.ranks[1].add(remote);
+
+  coll::PlanGraph g;
+  ASSERT_EQ(validate_plan(p, 2, &g), "");
+  EXPECT_EQ(g.base, (std::vector<int>{0, 2, 3}));
+  EXPECT_EQ(g.indegree, (std::vector<int>{0, 1, 1}));
+  EXPECT_EQ(g.dependents_begin, (std::vector<int>{0, 2, 2, 2}));
+  EXPECT_EQ(g.dependents,
+            (std::vector<DepRef>{DepRef{0, 1, 0.0}, DepRef{1, 0, 1e-6}}));
+}
+
 // --- TaskGraph validation ----------------------------------------------
 
 task::TaskNode noop_node(int step, std::vector<int> deps = {}) {
@@ -157,21 +221,23 @@ TEST(ValidateDeath, SchedulerRejectsCyclicGraph) {
   task::TaskGraph g;
   g.add(noop_node(0, {1}));
   g.add(noop_node(0, {0}));
-  EXPECT_DEATH(
-      task::TaskScheduler::run(h.rt, std::move(g), /*window=*/1, 0),
-      "cycle");
+  task::TaskMetrics metrics(h.world.metrics());
+  EXPECT_DEATH(task::TaskScheduler::run(h.rt, metrics, std::move(g),
+                                        /*window=*/1, 0),
+               "cycle");
 }
 
 TEST(ValidateDeath, RuntimeRejectsMalformedPlan) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   test::CollHarness h(machine::make_aries(1, 2));
-  auto build = [&] {
-    Plan p(h.world.world_comm().size(), 1);
+  coll::PlanKey key;
+  key.build = [](const coll::PlanKey& k) {
+    Plan p(k.comm_size, 1);
     p.ranks[0].add(
         coll::send_action(/*peer=*/99, /*tag=*/0, 8, SlotRef{0, 0}));
     return p;
   };
-  EXPECT_DEATH(h.rt.start(h.world.world_comm(), 0, build,
+  EXPECT_DEATH(h.rt.start(h.world.world_comm(), 0, key,
                           {mpi::BufView::timing_only(8)}),
                "out-of-range");
 }

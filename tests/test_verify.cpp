@@ -605,16 +605,27 @@ TEST(VerifyGate, CheckerSeesEveryFreshPlan) {
     return std::string();
   });
   const int n = h.world.world_size();
-  std::vector<std::vector<std::int32_t>> bufs(n);
-  for (int r = 0; r < n; ++r) {
-    bufs[r] = r == 0 ? test::pattern_vec(0, 64)
-                     : std::vector<std::int32_t>(64, -1);
-  }
+  auto fill = [n] {
+    std::vector<std::vector<std::int32_t>> bufs(n);
+    for (int r = 0; r < n; ++r) {
+      bufs[r] = r == 0 ? test::pattern_vec(0, 64)
+                       : std::vector<std::int32_t>(64, -1);
+    }
+    return bufs;
+  };
+  std::vector<std::vector<std::int32_t>> first = fill(), second = fill();
+  // Two back-to-back bcasts: the second instance runs the first's live
+  // compiled plan, and the checker still sees it once.
   test::run_collective(h.world, [&](mpi::Rank& rank) {
-    return ibcast_for_gate(h, rank, bufs);
+    mpi::Request a = ibcast_for_gate(h, rank, first);
+    mpi::Request b = ibcast_for_gate(h, rank, second);
+    return mpi::wait_all(h.world.engine(), {a, b}).gate();
   });
-  EXPECT_GE(checked, 1);
-  EXPECT_EQ(bufs[1], test::pattern_vec(0, 64));
+  EXPECT_EQ(checked, 2);
+  EXPECT_EQ(h.rt.instances_created(), 2u);
+  EXPECT_EQ(h.rt.plans_compiled(), 1u);
+  EXPECT_EQ(first[1], test::pattern_vec(0, 64));
+  EXPECT_EQ(second[1], test::pattern_vec(0, 64));
 }
 
 TEST(VerifyGate, ArmedGateLetsCleanPlansThrough) {
